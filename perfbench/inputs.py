@@ -1,39 +1,59 @@
 """Seeded upload streams for the pipeline benchmark.
 
 Everything the program receives is generated here from the workload
-seed: the campaign's measurement records (the same generator the
-sharded dataset uses), cut into per-device upload batches, interleaved
-in sim time, with a small share re-sent (a lost ACK) and a small share
-carrying a torn last line.  The generator also computes what a correct
-collector must answer -- the prefix ACK of every send -- and the
-reference rollup over exactly the records those ACKs cover.
+seed: every record of the crowd campaign at SCALE (all 2,351 devices),
+cut into per-device upload batches by the rule ``MeasurementUploader``
+follows, with its default settings, and interleaved in sim time.  A
+small share of batches loses its ACK (the device sends the batch again)
+and a small share carries a torn last line.  The generator also
+computes what a correct collector must answer -- the prefix ACK of
+every send -- and the records those ACKs cover, whose plain
+``RollupStore.add_all`` is the reference rollup.
 """
 
 from __future__ import annotations
 
+import inspect
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Tuple
 
 from repro.backend.rollups import RollupStore
 from repro.core.persist import record_to_line
 from repro.core.records import MeasurementRecord
+from repro.core.uploader import MeasurementUploader
 from repro.crowd import Campaign, CampaignConfig
 
-#: Input size: the first RECORDS records of the campaign generated at
-#: SCALE (2,351 devices; every seed yields more than RECORDS there), so
-#: the store's flush and checkpoint cadence is the same for every seed.
-SCALE = 0.01
-RECORDS = 36_000
-#: Uploader batch sizes (records); the uploader ships no fewer than 10.
-BATCH_RECORDS = (10, 40)
-#: Sim-time gap between one device's consecutive uploads.
-UPLOAD_PERIOD_MS = 60_000.0
-#: Share of batches whose ACK is lost, so the device sends them again.
+#: Input size, chosen through the campaign scale so that every device
+#: contributes: each device has max(1, round(activity * SCALE))
+#: records, 32k-36k records in all.
+SCALE = 0.005
+
+
+def _uploader_default(name: str):
+    return inspect.signature(
+        MeasurementUploader.__init__).parameters[name].default
+
+
+#: The uploader's periodic rule: every INTERVAL_MS it ships everything
+#: pending (at most MAX_BATCH records; None = no cap) once at least
+#: MIN_BATCH records are pending; ``stop()`` then flushes the rest
+#: whatever its size.  An unanswered upload times out after
+#: ACK_TIMEOUT_MS, and the next interval re-sends it verbatim.
+INTERVAL_MS = _uploader_default("interval_ms")
+MIN_BATCH = _uploader_default("min_batch")
+MAX_BATCH = _uploader_default("max_batch")
+ACK_TIMEOUT_MS = _uploader_default("ack_timeout_ms")
+#: Share of periodic batches whose ACK is lost, and share of batches
+#: whose last line is cut in half on the wire.  The repo has no
+#: measured rate for either; they are small so that the duplicate and
+#: short-ACK paths run in every pass without dominating it.
 RESEND_SHARE = 0.02
-#: Share of batches whose last line is cut in half on the wire.
 TORN_SHARE = 0.02
+
+Entries = List[Tuple[MeasurementRecord, bytes]]
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,7 @@ class UploadStream:
     sends: List[Send]
     #: The records every ACK covers, in send order (first sends only).
     acked_records: List[MeasurementRecord]
+    devices: int
 
     def reference(self) -> RollupStore:
         """What the durable rollup must equal after every acked batch:
@@ -61,48 +82,83 @@ class UploadStream:
         return store
 
 
-def campaign_entries(seed: int) -> List[Tuple[MeasurementRecord, bytes]]:
-    """The campaign's first RECORDS records with their canonical JSONL
-    bytes (what a shard file or an upload payload carries)."""
+def campaign_entries(seed: int) -> Entries:
+    """Every record of the campaign with its canonical JSONL bytes
+    (what a shard file or an upload payload carries)."""
     campaign = Campaign(config=CampaignConfig(scale=SCALE, seed=seed))
     return [(record, record_to_line(record).encode("utf-8"))
-            for record in islice(campaign.iter_records(), RECORDS)]
+            for record in campaign.iter_records()]
+
+
+def _tick(grid: float, at_ms: float) -> float:
+    """The first uploader tick at or after ``at_ms``."""
+    return grid + max(0, math.ceil((at_ms - grid) / INTERVAL_MS)) \
+        * INTERVAL_MS
+
+
+def device_uploads(device_id: str, entries: Entries, rng: random.Random
+                   ) -> List[Tuple[Send, List[MeasurementRecord]]]:
+    """One device's sends, each with the records its ACK covers.
+
+    The uploader's store holds the records in creation order; it starts
+    at a random point of its first interval and stops at the first tick
+    after the device's last record.  Sim time is not advanced by the
+    upload round trips, except that a lost ACK costs ACK_TIMEOUT_MS."""
+    entries = sorted(entries, key=lambda entry: entry[0].timestamp_ms)
+    created = [record.timestamp_ms for record, _line in entries]
+    grid = rng.uniform(0.0, INTERVAL_MS)
+    stop_ms = _tick(grid, created[-1])
+    next_tick = grid
+    cursor = seq = 0
+    sends: List[Tuple[Send, List[MeasurementRecord]]] = []
+    while cursor < len(entries):
+        fill = cursor + MIN_BATCH - 1
+        periodic = False
+        if fill < len(entries):
+            now_ms = _tick(grid, max(next_tick, created[fill]))
+            periodic = now_ms < stop_ms
+        if periodic:
+            end = bisect_right(created, now_ms)
+            next_tick = now_ms + INTERVAL_MS
+        else:
+            now_ms = max(next_tick - INTERVAL_MS, stop_ms)
+            end = len(entries)
+        if MAX_BATCH is not None:
+            end = min(end, cursor + MAX_BATCH)
+        chunk = entries[cursor:end]
+        lines = [line for _record, line in chunk]
+        acked = len(chunk)
+        if acked > 1 and rng.random() < TORN_SHARE:
+            # The collector ACKs the prefix; the torn record stays
+            # pending and rides in the device's next batch.
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+            acked -= 1
+        payload = b"\n".join(lines) + b"\n"
+        send = Send(device_id, seq, payload, now_ms, acked, len(lines))
+        sends.append((send, [record for record, _line in chunk[:acked]]))
+        if periodic and rng.random() < RESEND_SHARE:
+            grid = now_ms + ACK_TIMEOUT_MS
+            next_tick = grid + INTERVAL_MS
+            sends.append((Send(device_id, seq, payload, next_tick, acked,
+                               len(lines)), []))
+            next_tick += INTERVAL_MS
+        cursor += acked
+        seq += 1
+    return sends
 
 
 def upload_stream(seed: int) -> UploadStream:
-    entries = campaign_entries(seed)
     rng = random.Random("perfbench:uploads:%d" % seed)
-    by_device: Dict[str, List[Tuple[MeasurementRecord, bytes]]] = {}
-    for entry in entries:
+    by_device: Dict[str, Entries] = {}
+    for entry in campaign_entries(seed):
         by_device.setdefault(entry[0].device_id, []).append(entry)
-
-    scheduled: List[Tuple[float, int, Send, List[MeasurementRecord]]] = []
-    for device_id, device_entries in by_device.items():
-        phase = rng.uniform(0.0, UPLOAD_PERIOD_MS)
-        seq = 0
-        start = 0
-        while start < len(device_entries):
-            size = rng.randint(*BATCH_RECORDS)
-            chunk = device_entries[start:start + size]
-            start += len(chunk)
-            lines = [line for _record, line in chunk]
-            records = [record for record, _line in chunk]
-            if len(lines) > 1 and rng.random() < TORN_SHARE:
-                lines[-1] = lines[-1][:len(lines[-1]) // 2]
-                records = records[:-1]
-            now_ms = phase + seq * UPLOAD_PERIOD_MS
-            send = Send(device_id, seq, b"\n".join(lines) + b"\n",
-                        now_ms, len(records), len(lines))
-            scheduled.append((now_ms, len(scheduled), send, records))
-            if rng.random() < RESEND_SHARE:
-                later = now_ms + rng.uniform(1_000.0, 30_000.0)
-                resend = Send(device_id, seq, send.payload, later,
-                              len(records), len(lines))
-                scheduled.append((later, len(scheduled), resend, []))
-            seq += 1
+    scheduled = []
+    for device_id, entries in by_device.items():
+        for send, records in device_uploads(device_id, entries, rng):
+            scheduled.append((send.now_ms, len(scheduled), send, records))
     scheduled.sort(key=lambda item: (item[0], item[1]))
     acked: List[MeasurementRecord] = []
     for _when, _order, _send, records in scheduled:
         acked.extend(records)
     return UploadStream(sends=[item[2] for item in scheduled],
-                        acked_records=acked)
+                        acked_records=acked, devices=len(by_device))

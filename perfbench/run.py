@@ -4,28 +4,29 @@ One process, one caller, a closed loop: generated upload batches go
 through ``IngestPipeline.handle_batch`` on a ``StoreEngine`` (WAL,
 checkpoints, auto-flush), and dashboard panels through
 ``QueryEngine.snapshot()`` -> ``ReadView.app_panel``/``network_panel``.
-Arrival timing lives in sim time; host time is what is measured.
+Arrival timing lives in sim time; host CPU time is what is measured.
 
 Run from the repository root::
 
     python3 perfbench/run.py --workload upload_ingest --seed 1 \\
-        --seconds 45 --trace 0
+        --seconds 40 --trace 0
 
 Workloads (see BENCHMARK.json for why each exists):
 
 * ``upload_ingest`` -- the campaign's records as per-device upload
   batches (some re-sent, some with a torn last line), then
   ``crash()`` + ``recover()``;
-* ``dashboard_spill`` -- cold Zipf panel streams over a four-segment
-  store whose panel working set is four times the block cache;
 * ``live_mixed`` -- the upload stream again, with a dashboard refresh
-  every 20 batches and an operator ``compact()`` every 100.
+  every 40 batches and an operator ``compact()`` every 200.
 
-Set-up runs five times and reports its median.  Passes then repeat
-until ``--seconds`` is used up.  ``--trace 0`` prints the end-to-end
-metrics; ``--trace 1`` alternates untraced and traced passes and
-prints the per-layer metrics from the traced ones, plus the tracing
-overhead.  Every ACK, the rollup digest after ingest and after
+Inputs and reference answers are generated once per run.  Passes then
+repeat until ``--seconds`` is used up; each opens the program on a
+fresh store directory ten times (``setup_s`` is the median over the
+run's set-ups).  ``--trace 0`` prints the end-to-end
+metrics, with ``peak_rss_mb`` from one more pass that ``rss.py`` runs
+in a fresh process; ``--trace 1`` alternates untraced and traced
+passes and prints the per-layer metrics from the traced ones, plus the
+tracing overhead.  Every ACK, the rollup digest after ingest and after
 recovery, and a seeded sample of panels (against their full-scan
 answers) are checked; any mismatch makes the result ``correct: false``
 and the exit code 1.  The line before the result holds the run
@@ -40,18 +41,20 @@ import gc
 import json
 import math
 import os
+import pickle
 import platform
-import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPEATS = 5
 #: Stop starting passes after this long, whatever ``--seconds`` says.
-HARD_LIMIT_S = 150.0
+HARD_LIMIT_S = 120.0
+#: The memory pass takes one plain pass's time, 10-15 s on a 2-vCPU VM.
+RSS_PASS_TIMEOUT_S = 50.0
 
 
 def percentile(samples, q):
@@ -109,7 +112,6 @@ def filesystem_of(path):
 
 
 def run_conditions(args, state, data_root):
-    from repro.store import StoreConfig
     from repro.store.blockcache import DEFAULT_CACHE_BYTES
 
     import inputs
@@ -120,11 +122,7 @@ def run_conditions(args, state, data_root):
         numpy_version = numpy.__version__
     except ImportError:
         numpy_version = "absent"
-    defaults = StoreConfig()
-    cache_bytes = state.get("cache_bytes")
-    if cache_bytes is None and args.workload == "live_mixed":
-        cache_bytes = DEFAULT_CACHE_BYTES
-    spill = args.workload == "dashboard_spill"
+    config = workloads.store_config(state["records"])
     return {
         "host": platform.node(),
         "machine": platform.machine(),
@@ -135,19 +133,49 @@ def run_conditions(args, state, data_root):
         "scale": inputs.SCALE,
         "seed": args.seed,
         "records": state["records"],
-        "cache_bytes": cache_bytes,
-        "working_set_bytes": state.get("working_set_bytes"),
-        "flush_threshold_records": (
-            -(-state["records"] // workloads.SPILL_SEGMENTS) if spill
-            else workloads.FLUSH_RECORDS),
-        "checkpoint_interval_records": (
-            None if spill else workloads.CHECKPOINT_RECORDS),
-        "group_commit_records": defaults.group_commit_records,
-        "group_commit_bytes": defaults.group_commit_bytes,
+        "devices": state["devices"],
+        "sends": len(state["stream"].sends),
+        "uploader": {"interval_ms": inputs.INTERVAL_MS,
+                     "min_batch": inputs.MIN_BATCH,
+                     "max_batch": inputs.MAX_BATCH,
+                     "ack_timeout_ms": inputs.ACK_TIMEOUT_MS},
+        "cache_bytes": (DEFAULT_CACHE_BYTES
+                        if args.workload == "live_mixed" else None),
+        "flush_threshold_records": config.flush_threshold_records,
+        "checkpoint_interval_records": config.checkpoint_interval_records,
+        "group_commit_records": config.group_commit_records,
+        "group_commit_bytes": config.group_commit_bytes,
         "data_dir_fs": filesystem_of(data_root),
         "trace": bool(args.trace),
         "run_seconds": args.seconds,
     }
+
+
+def pass_peak_rss_mb(workload_name, state, data_root):
+    """Peak RSS of one pass, from ``rss.py`` in a fresh process.
+
+    In this process the pass would run in memory the input generator
+    freed (the allocator keeps it), so its RSS hardly grows.  The child
+    loads a pickled copy of the inputs, which leaves few holes, runs
+    one pass without checks and reports how far the RSS high-water
+    mark rose above its RSS before the pass.  This process waits for
+    it, so the run uses at most two processes."""
+    stream = state["stream"]
+    slim = dict(state, data_dir=os.path.join(data_root, "rss"),
+                stream=type(stream)(sends=stream.sends, acked_records=[],
+                                    devices=stream.devices))
+    path = os.path.join(data_root, "rss-inputs.pickle")
+    with open(path, "wb") as handle:
+        pickle.dump((workload_name == "live_mixed", slim), handle,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+    child = subprocess.run(
+        [sys.executable, os.path.join(HERE, "rss.py"), path],
+        capture_output=True, text=True, timeout=RSS_PASS_TIMEOUT_S)
+    if child.returncode != 0:
+        raise RuntimeError("rss.py failed (%d): %s"
+                           % (child.returncode, child.stderr[-2000:]))
+    return json.loads(child.stdout.strip().splitlines()[-1])[
+        "peak_rss_mb"]
 
 
 def measure(workload, state, seconds, trace, deadline):
@@ -180,52 +208,61 @@ def measure(workload, state, seconds, trace, deadline):
             return passes
 
 
-def end_to_end(name, passes, setup_times):
+def pass_medians(results, samples, named):
+    """``(p50, tail label, tail)`` of ``samples(result)``, each the
+    median over passes.  The tail percentile is the one the smallest
+    pass supports."""
+    label, _value = tail(min((samples(r) for r in results), key=len),
+                         named)
+    q = int(label[1:]) / 100.0
+    return (median([percentile(samples(r), 0.5) for r in results]),
+            label, median([percentile(samples(r), q) for r in results]))
+
+
+def end_to_end(name, passes, rss_mb):
     """The end-to-end metrics (untraced passes only), plus the report
-    under the layer budget's per-workload names."""
+    under the layer budget's per-workload names.  Each timing is
+    computed per pass and reported as the median over passes, so a
+    pass caught in one of the host's slow phases does not move it."""
     results = [result for traced, result, _spans in passes if not traced]
-    rate = sum(r.work for r in results) / sum(r.timed_s for r in results)
-    acks = [ms for result in results for ms in result.ack_ms]
-    panels = [ms for result in results for ms in result.panel_ms]
-    refreshes = [ms for result in results for ms in result.refresh_ms]
-    primary, named = {"upload_ingest": (acks, 0.99),
-                      "dashboard_spill": (panels, 0.9),
-                      "live_mixed": (refreshes, 0.9)}[name]
-    label, tail_ms = tail(primary, named)
-    peak_rss_mb = resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    rate = median([r.work / r.timed_s for r in results])
+    ack_p50, ack_label, ack_tail = pass_medians(
+        results, lambda r: r.ack_ms, 0.99)
+    if name == "live_mixed":
+        p50, label, tail_ms = pass_medians(
+            results, lambda r: r.refresh_ms, 0.9)
+    else:
+        p50, label, tail_ms = ack_p50, ack_label, ack_tail
     metrics = {
-        "setup_s": (median(setup_times), "s"),
+        "setup_s": (median([s for _t, result, _s in passes
+                            for s in result.setup_s]), "s"),
         "throughput_per_s": (rate, "1/s"),
-        "latency_ms_p50": (percentile(primary, 0.5), "ms"),
+        "latency_ms_p50": (p50, "ms"),
         "latency_ms_tail": (tail_ms, "ms"),
         "disk_bytes_per_rec": (
             median([r.disk_bytes_per_rec for r in results]), "B"),
-        "peak_rss_mb": (peak_rss_mb, "MB"),
+        "peak_rss_mb": (rss_mb, "MB"),
     }
     attempted = sum(result.attempted for _t, result, _s in passes)
     failed = sum(result.failed for _t, result, _s in passes)
-    recovery_s = (median([s for r in results for s in r.recovery_s]), "s")
     report = {"setup_s": metrics["setup_s"],
               "peak_rss_mb": metrics["peak_rss_mb"],
-              "failed_share": (failed / max(1, attempted), "share")}
-    if name == "dashboard_spill":
-        report["panel_ms_p50"] = (percentile(panels, 0.5), "ms")
-        report["panel_ms_%s" % label] = (tail_ms, "ms")
-        report["panels_per_s"] = (rate, "1/s")
-        report["restart_s"] = recovery_s
-    else:
-        ack_label, ack_tail = tail(acks, 0.99)
-        report["rec_per_s"] = (rate, "records/s")
-        report["ack_ms_p50"] = (percentile(acks, 0.5), "ms")
-        report["ack_ms_%s" % ack_label] = (ack_tail, "ms")
-        report["recovery_s"] = recovery_s
-        report["disk_bytes_per_rec"] = metrics["disk_bytes_per_rec"]
+              "failed_share": (failed / max(1, attempted), "share"),
+              "rec_per_s": (rate, "records/s"),
+              "rec_per_s_wall": (
+                  median([r.work / r.wall_s for r in results]), "records/s"),
+              "ack_ms_p50": (ack_p50, "ms"),
+              "ack_ms_%s" % ack_label: (ack_tail, "ms"),
+              "recovery_s": (
+                  median([s for r in results for s in r.recovery_s]), "s"),
+              "disk_bytes_per_rec": metrics["disk_bytes_per_rec"]}
     if name == "live_mixed":
-        report["refresh_ms_p50"] = (percentile(refreshes, 0.5), "ms")
+        report["refresh_ms_p50"] = (p50, "ms")
         report["refresh_ms_%s" % label] = (tail_ms, "ms")
-    report["samples"] = ({"acks": len(acks), "panels": len(panels),
-                          "refreshes": len(refreshes)}, "count")
+    report["samples"] = ({"passes": len(results),
+                          "acks": sum(len(r.ack_ms) for r in results),
+                          "refreshes": sum(len(r.refresh_ms)
+                                           for r in results)}, "count")
     return metrics, report
 
 
@@ -302,8 +339,7 @@ def as_json_metrics(metrics):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=["upload_ingest", "dashboard_spill",
-                                 "live_mixed"])
+                        choices=["upload_ingest", "live_mixed"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -322,38 +358,24 @@ def main(argv=None):
               % (os.path.join(ROOT, "src"), exc), file=sys.stderr)
         return 2
 
-    workload = {"upload_ingest": lambda: workloads.IngestWorkload(False),
-                "dashboard_spill": workloads.SpillWorkload,
-                "live_mixed": lambda: workloads.IngestWorkload(True),
-                }[args.workload]()
+    workload = workloads.IngestWorkload(args.workload == "live_mixed")
     data_root = os.path.join(ROOT, ".perfbench-data",
                              "%s-%d" % (args.workload, os.getpid()))
-    state = None
     try:
         began = time.perf_counter()
-        generated = workload.prepare(args.seed)
+        state = workload.prepare(args.seed, data_root)
         inputs_s = time.perf_counter() - began
-        setup_times = []
-        for repeat in range(SETUP_REPEATS):
-            if state is not None:
-                workload.teardown(state)
-                state = None
-            gc.collect()
-            began = time.perf_counter()
-            state = workload.setup(
-                generated, args.seed,
-                os.path.join(data_root, "setup-%d" % repeat))
-            setup_times.append(time.perf_counter() - began)
         # The inputs and references live for the whole run; keep the
         # program's garbage collections from traversing them.
         gc.collect()
         gc.freeze()
         passes = measure(workload, state, args.seconds, bool(args.trace),
                          process_started + HARD_LIMIT_S)
+        rss_mb = None
+        if not args.trace:
+            rss_mb = pass_peak_rss_mb(args.workload, state, data_root)
         conditions = run_conditions(args, state, data_root)
     finally:
-        if state is not None:
-            workload.teardown(state)
         shutil.rmtree(data_root, ignore_errors=True)
         try:
             os.rmdir(os.path.dirname(data_root))
@@ -363,7 +385,7 @@ def main(argv=None):
     mismatches = [m for _t, result, _s in passes for m in result.mismatches]
     attempted = sum(result.attempted for _t, result, _s in passes)
     failed = sum(result.failed for _t, result, _s in passes)
-    metrics, report = end_to_end(args.workload, passes, setup_times)
+    metrics, report = end_to_end(args.workload, passes, rss_mb)
     report["inputs_s"] = (inputs_s, "s")
     print(json.dumps({
         "workload": args.workload,

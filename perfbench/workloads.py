@@ -1,12 +1,10 @@
-"""The three workloads: inputs, set-up, one measured pass, its checks.
+"""The workloads: inputs, one measured pass, its checks.
 
-A workload's ``prepare`` generates its inputs from the seed (once per
-run); ``setup`` builds from them the state a pass needs, through the
-program (the runner times it, five times over); ``run_pass`` does a
-fixed amount of work against the program, times it, checks every
-answer, and returns a :class:`PassResult`.  The runner repeats passes
-until its time is up.  Each pass starts from the same state (a fresh
-store directory, or a fresh ``QueryEngine`` over the set-up store).
+A workload's ``prepare`` generates its inputs and the reference answers
+from the seed (once per run, untimed); ``run_pass`` sets the program up
+on a fresh store directory (timed as set-up), does a fixed amount of
+work against it, times that, checks every answer, and returns a
+:class:`PassResult`.  The runner repeats passes until its time is up.
 """
 
 from __future__ import annotations
@@ -19,55 +17,58 @@ import shutil
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.backend.ingest import IngestPipeline
-from repro.core.records import MeasurementRecord
 from repro.obs import Observability
 from repro.serve import QueryEngine, QueryError, ReadView
 from repro.serve.workload import DEFAULT_APP_SHARE, DEFAULT_ZIPF_S
 from repro.store import StoreConfig, StoreEngine
 
-from inputs import UploadStream, campaign_entries, upload_stream
+from inputs import UploadStream, upload_stream
 from tracing import SpanTotals
 
-#: Store thresholds for the write workloads.  Four flushes and ~32
-#: checkpoints land inside single batches, about 1.5% of them, so the
-#: ACK p99 falls among those stalls.  The stream ends ~3.9k records
-#: past the last flush: a checkpoint and a WAL tail for recovery.
-FLUSH_RECORDS = 8000
-CHECKPOINT_RECORDS = 1024
-#: dashboard_spill: segments built in set-up, panels per pass, and the
-#: cache size as a share of the panels' decoded working set.  At half
-#: the working set the LRU cache splits panels into all-hit and
-#: all-miss ones at ~0.5 hit rate, and the median panel flips between
-#: the two from seed to seed; at a quarter every panel misses and the
-#: latency distribution has one mode.
-SPILL_SEGMENTS = 4
-SPILL_PANELS = 60
-SPILL_CACHE_SHARE = 0.25
+#: Store thresholds for the write workloads, as shares of the stream,
+#: so every seed has the same cadence whatever its record count: four
+#: flushes, and the stream ends half a flush later with a checkpoint
+#: and a WAL tail for recovery.  Flushes and ~75 checkpoints land
+#: inside single batches, about 1.5% of them, so the ACK p99 falls
+#: among those stalls.
+FLUSHES_PER_STREAM = 4.5
+CHECKPOINTS_PER_STREAM = 80
 #: live_mixed: a dashboard refresh (one snapshot plus a few panels)
 #: every REFRESH_EVERY batches, an operator ``compact()`` every
 #: COMPACT_EVERY batches.  Compaction merges once four segments exist;
 #: calling it often makes that happen right after the fourth flush for
 #: every seed, so each pass ends with the same store layout.
-REFRESH_EVERY = 20
+REFRESH_EVERY = 40
 REFRESH_PANELS = 3
-COMPACT_EVERY = 100
-#: Panels per pass re-answered by full scan and compared byte for byte.
-VERIFY_PANELS = 3
+COMPACT_EVERY = 200
 #: ``crash()`` + ``recover()`` cycles timed at the end of every pass.
 RECOVERIES = 5
+#: Program set-ups (open the store, recover it, build the pipeline and
+#: query engine) timed at the start of every pass; the last one stays
+#: open for the pass.
+SETUPS = 10
 
-Entries = List[Tuple[MeasurementRecord, bytes]]
+#: The clock every timing reads: this process's CPU time.  It holds the
+#: program's own work, the system calls of its fsyncs included, but not
+#: the wait for the disk to complete them, nor time the hypervisor
+#: steals.  On a shared VM disk the fsync wait swings 3x from minute to
+#: minute (mean 0.11 to 0.34 ms per fsync), which moved the wall-clock
+#: records/s by 0.32 (quartile distance over median) over five seeds.
+#: A change to the fsync policy still shows in wal.fsyncs; the report
+#: line has the wall-clock rate too.
+CLOCK = time.process_time
+
 Panel = Tuple[str, str]
 
 
-def store_config(**overrides) -> StoreConfig:
-    settings = dict(flush_threshold_records=FLUSH_RECORDS,
-                    checkpoint_interval_records=CHECKPOINT_RECORDS)
-    settings.update(overrides)
-    return StoreConfig(**settings)
+def store_config(records: int) -> StoreConfig:
+    return StoreConfig(
+        flush_threshold_records=round(records / FLUSHES_PER_STREAM),
+        checkpoint_interval_records=round(
+            records / CHECKPOINTS_PER_STREAM))
 
 
 def canonical(value: object) -> str:
@@ -78,9 +79,10 @@ def canonical(value: object) -> str:
 class PassResult:
     """What one pass measured and what its checks found."""
     timed_s: float = 0.0        # measured work only, checks excluded
-    work: int = 0               # records acked, or panels answered
+    wall_s: float = 0.0         # wall time of the upload stream loop
+    work: int = 0               # records acked
+    setup_s: List[float] = field(default_factory=list)
     ack_ms: List[float] = field(default_factory=list)
-    panel_ms: List[float] = field(default_factory=list)
     refresh_ms: List[float] = field(default_factory=list)
     recovery_s: List[float] = field(default_factory=list)
     disk_bytes_per_rec: float = 0.0
@@ -116,10 +118,10 @@ def timed_recoveries(engine: StoreEngine, result: PassResult) -> None:
     no cycle pays for another's."""
     for _ in range(RECOVERIES):
         gc.collect()
-        started = time.perf_counter()
+        started = CLOCK()
         engine.crash()
         engine.recover()
-        result.recovery_s.append(time.perf_counter() - started)
+        result.recovery_s.append(CLOCK() - started)
 
 
 # -- panel streams ------------------------------------------------------
@@ -206,16 +208,15 @@ class IngestWorkload:
     def __init__(self, mixed: bool) -> None:
         self.mixed = mixed
 
-    def prepare(self, seed: int) -> UploadStream:
-        return upload_stream(seed)
-
-    def setup(self, stream: UploadStream, seed: int,
-              data_dir: str) -> dict:
-        """The reference rollup the store must match, and for
-        live_mixed the refresh panels, picked from its catalog."""
+    def prepare(self, seed: int, data_dir: str) -> dict:
+        """The upload stream, the reference rollup the store must
+        match, and for live_mixed the refresh panels, picked from the
+        reference's catalog.  Untimed: none of it is program work."""
+        stream = upload_stream(seed)
         reference = stream.reference()
         state = {"stream": stream, "digest": reference.digest(),
                  "records": len(stream.acked_records),
+                 "devices": stream.devices,
                  "groups": reference.group_count(),
                  "data_dir": data_dir, "seed": seed}
         if self.mixed:
@@ -227,28 +228,49 @@ class IngestWorkload:
                 random.Random("perfbench:panels:%d" % seed))
         return state
 
-    def teardown(self, state: dict) -> None:
-        pass
+    def open_program(self, store_dir: str, config: StoreConfig,
+                     result: PassResult
+                     ) -> Tuple[Observability, StoreEngine, IngestPipeline,
+                                Optional[QueryEngine]]:
+        """The collector's set-up on the pass directory, SETUPS times:
+        open the store (its initial recovery included), the ingest
+        pipeline and, for live_mixed, the query engine.  Every set-up
+        but the last is closed again, so the later ones reopen the
+        directory the first one created."""
+        clock = CLOCK
+        engine = None
+        for _ in range(SETUPS):
+            if engine is not None:
+                engine.close()
+            obs = Observability()
+            started = clock()
+            engine = StoreEngine(store_dir, config=config, obs=obs)
+            pipeline = IngestPipeline(store=engine, obs=obs)
+            queries = QueryEngine(engine, obs=obs) if self.mixed else None
+            result.setup_s.append(clock() - started)
+        return obs, engine, pipeline, queries
 
-    def run_pass(self, state: dict, index: int,
-                 spans: SpanTotals) -> PassResult:
+    def run_pass(self, state: dict, index: int, spans: SpanTotals,
+                 check: bool = True) -> PassResult:
+        """One pass; ``check=False`` skips the digest and panel checks
+        (the memory pass of ``rss.py`` runs without them)."""
         stream: UploadStream = state["stream"]
         store_dir = os.path.join(state["data_dir"], "store")
         shutil.rmtree(store_dir, ignore_errors=True)
         # Start every pass with no writeback of the last one pending,
         # so its fsyncs do not wait on the previous pass's deletes.
         os.sync()
-        obs = Observability()
-        engine = StoreEngine(store_dir, config=store_config(), obs=obs)
-        pipeline = IngestPipeline(store=engine, obs=obs)
-        queries = QueryEngine(engine, obs=obs) if self.mixed else None
+        result = PassResult()
+        with spans.paused():
+            obs, engine, pipeline, queries = self.open_program(
+                store_dir, store_config(state["records"]), result)
         panels = state.get("panels", [])
         verify_refresh = random.Random(
             "perfbench:verify:%d:%d" % (state["seed"], index)).randrange(
                 max(1, len(stream.sends) // REFRESH_EVERY))
-        result = PassResult()
-        clock = time.perf_counter
+        clock = CLOCK
         lines_sent = 0
+        wall_started = time.perf_counter()
         try:
             for number, send in enumerate(stream.sends, 1):
                 started = clock()
@@ -275,25 +297,33 @@ class IngestWorkload:
                     self._refresh(queries, panels[
                         refresh * REFRESH_PANELS:
                         (refresh + 1) * REFRESH_PANELS],
-                        refresh == verify_refresh, spans, result)
+                        check and refresh == verify_refresh, spans,
+                        result)
                 if number % COMPACT_EVERY == 0:
                     started = clock()
                     engine.compact()
                     result.timed_s += clock() - started
+            result.wall_s = time.perf_counter() - wall_started
             result.work = state["records"]
-            result.disk_bytes_per_rec = \
-                engine.disk_bytes() / state["records"]
-            if index == 0:
+            if check and index == 0:
                 with spans.paused():
                     self._check_digest(engine, state, "after ingest",
                                        result)
             timed_recoveries(engine, result)
             with spans.paused():
-                self._check_digest(engine, state, "after recovery",
-                                   result)
+                if check:
+                    self._check_digest(engine, state, "after recovery",
+                                       result)
+                result.counts = registry_counts(obs)
+                # The footprint once the stream is in segments: the
+                # flush drops the WAL and the checkpoints, whose size
+                # depends on where the stream ends between two
+                # checkpoints (the WAL's share is wal.bytes_per_rec).
+                engine.flush()
+                result.disk_bytes_per_rec = \
+                    engine.disk_bytes() / state["records"]
         finally:
             engine.close()
-        result.counts = registry_counts(obs)
         result.counts["lines_sent"] = float(lines_sent)
         result.counts["groups"] = float(state["groups"])
         return result
@@ -303,7 +333,7 @@ class IngestWorkload:
                  result: PassResult) -> None:
         """One dashboard refresh: a snapshot and its panels, timed
         together."""
-        clock = time.perf_counter
+        clock = CLOCK
         started = clock()
         answered = []
         result.attempted += 1 + len(panels)
@@ -338,104 +368,3 @@ class IngestWorkload:
             result.mismatches.append(
                 "rollup digest %s %s != reference %s"
                 % (when, digest[:12], state["digest"][:12]))
-
-
-# -- the read workload ----------------------------------------------------
-
-
-class SpillWorkload:
-    """dashboard_spill: cold Zipf panel streams whose working set is
-    four times the block cache."""
-
-    #: Two passes of SPILL_PANELS give a p90 with >= 10 panels beyond.
-    min_passes = 2
-
-    def prepare(self, seed: int) -> Entries:
-        return campaign_entries(seed)
-
-    def setup(self, entries: Entries, seed: int, data_dir: str) -> dict:
-        """A store of SPILL_SEGMENTS segments, and the panel catalog
-        read through its own ``QueryEngine``, so the measured one
-        starts cold."""
-        engine = StoreEngine(
-            os.path.join(data_dir, "store"), obs=Observability(),
-            config=store_config(
-                flush_threshold_records=-(-len(entries)
-                                          // SPILL_SEGMENTS),
-                checkpoint_interval_records=None))
-        engine.append_entries(entries)
-        engine.flush()
-        catalog_engine = QueryEngine(engine, obs=Observability())
-        with catalog_engine.snapshot() as view:
-            apps, operators = subject_catalog(view)
-        # The catalog scanned exactly the tables panels read, so the
-        # catalog cache now holds the panels' decoded working set.
-        working_set = catalog_engine.cache.bytes_used()
-        return {
-            "engine": engine, "seed": seed, "records": len(entries),
-            "apps": apps, "operators": operators,
-            "working_set_bytes": working_set,
-            "cache_bytes": int(working_set * SPILL_CACHE_SHARE),
-        }
-
-    def teardown(self, state: dict) -> None:
-        state["engine"].close()
-
-    def run_pass(self, state: dict, index: int,
-                 spans: SpanTotals) -> PassResult:
-        engine: StoreEngine = state["engine"]
-        panels = panel_stream(
-            state["apps"], state["operators"], SPILL_PANELS,
-            random.Random("perfbench:panels:%d:%d"
-                          % (state["seed"], index)))
-        obs = Observability()
-        queries = QueryEngine(engine, cache_bytes=state["cache_bytes"],
-                              obs=obs)
-        result = PassResult()
-        clock = time.perf_counter
-        answered = []
-        view = queries.snapshot()
-        try:
-            for panel in panels:
-                result.attempted += 1
-                started = clock()
-                try:
-                    response = answer(view, panel)
-                except QueryError as exc:
-                    result.failed += 1
-                    result.mismatches.append(
-                        "%s panel %r failed: %s" % (panel + (exc,)))
-                    continue
-                elapsed = clock() - started
-                result.panel_ms.append(elapsed * 1000.0)
-                result.timed_s += elapsed
-                answered.append((panel, canonical(response)))
-            result.work = len(answered)
-            result.counts = registry_counts(obs)
-            with spans.paused():
-                sample = random.Random(
-                    "perfbench:verify:%d:%d" % (state["seed"], index)
-                ).sample(answered, min(VERIFY_PANELS, len(answered)))
-                verify_panels(view, sample, result)
-        finally:
-            view.close()
-        if result.counts["cache_misses"] <= 0 or \
-                result.counts["cache_evictions"] <= 0:
-            result.mismatches.append(
-                "cache did not spill (misses %d, evictions %d)"
-                % (result.counts["cache_misses"],
-                   result.counts["cache_evictions"]))
-        result.disk_bytes_per_rec = engine.disk_bytes() / state["records"]
-        if index == 0:
-            with spans.paused():
-                before = engine.materialize()
-        timed_recoveries(engine, result)
-        if index == 0:
-            with spans.paused():
-                after = engine.materialize()
-            if after.digest() != before.digest():
-                result.mismatches.append(
-                    "rollup digest changed across crash + recovery")
-            state["groups"] = before.group_count()
-        result.counts["groups"] = float(state["groups"])
-        return result
