@@ -1,9 +1,11 @@
 """Seeded upload streams for the pipeline benchmark.
 
 Everything the program receives is generated here from the workload
-seed: every record of the crowd campaign at SCALE (all 2,351 devices),
-cut into per-device upload batches by the rule ``MeasurementUploader``
-follows, with its default settings, and interleaved in sim time.  A
+seed: the crowd campaign at SCALE (all 2,351 devices), thinned to
+exactly RECORDS records by a seeded uniform draw that keeps every
+device's first record, cut into per-device upload batches by the rule
+``MeasurementUploader`` follows, with its default settings, and
+interleaved in sim time.  A
 small share of batches loses its ACK (the device sends the batch again)
 and a small share carries a torn last line.  The generator also
 computes what a correct collector must answer -- the prefix ACK of
@@ -26,10 +28,13 @@ from repro.core.records import MeasurementRecord
 from repro.core.uploader import MeasurementUploader
 from repro.crowd import Campaign, CampaignConfig
 
-#: Input size, chosen through the campaign scale so that every device
-#: contributes: each device has max(1, round(activity * SCALE))
-#: records, 32k-36k records in all.
-SCALE = 0.005
+#: Input size.  The campaign at SCALE gives every device
+#: max(1, round(activity * SCALE)) records, 37k-42k in all over the seeds
+#: tried; a seeded uniform draw then keeps exactly RECORDS of them,
+#: every device's first record among them, so every seed feeds the
+#: program the same number of records from all 2,351 devices.
+SCALE = 0.006
+RECORDS = 30_000
 
 
 def _uploader_default(name: str):
@@ -83,11 +88,38 @@ class UploadStream:
 
 
 def campaign_entries(seed: int) -> Entries:
-    """Every record of the campaign with its canonical JSONL bytes
-    (what a shard file or an upload payload carries)."""
-    campaign = Campaign(config=CampaignConfig(scale=SCALE, seed=seed))
-    return [(record, record_to_line(record).encode("utf-8"))
-            for record in campaign.iter_records()]
+    """RECORDS records of the campaign, each device's first one
+    included, in campaign order, with their canonical JSONL bytes (what
+    a shard file or an upload payload carries).  A seed whose campaign
+    falls short of RECORDS is generated again at a larger scale."""
+    scale = SCALE
+    while True:
+        records = list(Campaign(config=CampaignConfig(
+            scale=scale, seed=seed)).iter_records())
+        if len(records) >= RECORDS:
+            break
+        scale *= 1.25
+    seen = set()
+    firsts, rest = [], []
+    for index, record in enumerate(records):
+        if record.device_id in seen:
+            rest.append(index)
+        else:
+            seen.add(record.device_id)
+            firsts.append(index)
+    rng = random.Random("perfbench:thin:%d" % seed)
+    kept = sorted(firsts + rng.sample(rest, RECORDS - len(firsts)))
+    return [(records[index],
+             record_to_line(records[index]).encode("utf-8"))
+            for index in kept]
+
+
+def history_entries(seed: int) -> Entries:
+    """The store's history for live_mixed: RECORDS records of another
+    campaign draw over the same catalog and period, as a collector
+    that has run before holds them."""
+    return campaign_entries(
+        random.Random("perfbench:history:%d" % seed).randrange(2 ** 31))
 
 
 def _tick(grid: float, at_ms: float) -> float:

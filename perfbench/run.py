@@ -4,24 +4,27 @@ One process, one caller, a closed loop: generated upload batches go
 through ``IngestPipeline.handle_batch`` on a ``StoreEngine`` (WAL,
 checkpoints, auto-flush), and dashboard panels through
 ``QueryEngine.snapshot()`` -> ``ReadView.app_panel``/``network_panel``.
-Arrival timing lives in sim time; host CPU time is what is measured.
+Arrival timing lives in sim time; host CPU time is what is measured,
+corrected for the host's CPU speed by a probe loop run between the
+timed operations (``hostspeed.py``).
 
 Run from the repository root::
 
     python3 perfbench/run.py --workload upload_ingest --seed 1 \\
-        --seconds 40 --trace 0
+        --seconds 50 --trace 0
 
 Workloads (see BENCHMARK.json for why each exists):
 
 * ``upload_ingest`` -- the campaign's records as per-device upload
   batches (some re-sent, some with a torn last line), then
   ``crash()`` + ``recover()``;
-* ``live_mixed`` -- the upload stream again, with a dashboard refresh
-  every 40 batches and an operator ``compact()`` every 200.
+* ``live_mixed`` -- the upload stream again, into a store that already
+  holds a history, with a dashboard refresh every 40 batches and an
+  operator ``compact()`` every 200.
 
 Inputs and reference answers are generated once per run.  Passes then
 repeat until ``--seconds`` is used up; each opens the program on a
-fresh store directory ten times (``setup_s`` is the median over the
+fresh store directory five times (``setup_s`` is the median over the
 run's set-ups).  ``--trace 0`` prints the end-to-end
 metrics, with ``peak_rss_mb`` from one more pass that ``rss.py`` runs
 in a fresh process; ``--trace 1`` alternates untraced and traced
@@ -114,6 +117,7 @@ def filesystem_of(path):
 def run_conditions(args, state, data_root):
     from repro.store.blockcache import DEFAULT_CACHE_BYTES
 
+    import hostspeed
     import inputs
     import workloads
 
@@ -133,6 +137,7 @@ def run_conditions(args, state, data_root):
         "scale": inputs.SCALE,
         "seed": args.seed,
         "records": state["records"],
+        "history_records": state["stored_records"] - state["records"],
         "devices": state["devices"],
         "sends": len(state["stream"].sends),
         "uploader": {"interval_ms": inputs.INTERVAL_MS,
@@ -146,6 +151,10 @@ def run_conditions(args, state, data_root):
         "group_commit_records": config.group_commit_records,
         "group_commit_bytes": config.group_commit_bytes,
         "data_dir_fs": filesystem_of(data_root),
+        "host_speed_probe": {
+            "reference_ms": hostspeed.REFERENCE_PROBE_S * 1000.0,
+            "interval_s": hostspeed.PROBE_INTERVAL_S,
+            "iterations": hostspeed.PROBE_ITERATIONS},
         "trace": bool(args.trace),
         "run_seconds": args.seconds,
     }
@@ -208,29 +217,27 @@ def measure(workload, state, seconds, trace, deadline):
             return passes
 
 
-def pass_medians(results, samples, named):
-    """``(p50, tail label, tail)`` of ``samples(result)``, each the
-    median over passes.  The tail percentile is the one the smallest
-    pass supports."""
-    label, _value = tail(min((samples(r) for r in results), key=len),
-                         named)
-    q = int(label[1:]) / 100.0
-    return (median([percentile(samples(r), 0.5) for r in results]),
-            label, median([percentile(samples(r), q) for r in results]))
+def pooled(results, samples, named):
+    """``(p50, tail label, tail)`` over the samples of every pass."""
+    pool = [value for r in results for value in samples(r)]
+    label, tail_value = tail(pool, named)
+    return percentile(pool, 0.5), label, tail_value
 
 
 def end_to_end(name, passes, rss_mb):
     """The end-to-end metrics (untraced passes only), plus the report
-    under the layer budget's per-workload names.  Each timing is
-    computed per pass and reported as the median over passes, so a
-    pass caught in one of the host's slow phases does not move it."""
+    under the layer budget's per-workload names.  Every timing pools
+    the whole run: the rate is all records over all measured time, the
+    percentiles are over the samples of every pass.  Every timing is
+    corrected for the host's CPU speed (hostspeed.py); the report has
+    the uncorrected rate and the probe's median beside it."""
     results = [result for traced, result, _spans in passes if not traced]
-    rate = median([r.work / r.timed_s for r in results])
-    ack_p50, ack_label, ack_tail = pass_medians(
-        results, lambda r: r.ack_ms, 0.99)
+    rate = (sum(r.work for r in results)
+            / sum(r.timed_s for r in results))
+    ack_p50, ack_label, ack_tail = pooled(results, lambda r: r.ack_ms,
+                                          0.99)
     if name == "live_mixed":
-        p50, label, tail_ms = pass_medians(
-            results, lambda r: r.refresh_ms, 0.9)
+        p50, label, tail_ms = pooled(results, lambda r: r.refresh_ms, 0.9)
     else:
         p50, label, tail_ms = ack_p50, ack_label, ack_tail
     metrics = {
@@ -239,6 +246,8 @@ def end_to_end(name, passes, rss_mb):
         "throughput_per_s": (rate, "1/s"),
         "latency_ms_p50": (p50, "ms"),
         "latency_ms_tail": (tail_ms, "ms"),
+        "recovery_s": (
+            median([s for r in results for s in r.recovery_s]), "s"),
         "disk_bytes_per_rec": (
             median([r.disk_bytes_per_rec for r in results]), "B"),
         "peak_rss_mb": (rss_mb, "MB"),
@@ -250,11 +259,16 @@ def end_to_end(name, passes, rss_mb):
               "failed_share": (failed / max(1, attempted), "share"),
               "rec_per_s": (rate, "records/s"),
               "rec_per_s_wall": (
-                  median([r.work / r.wall_s for r in results]), "records/s"),
+                  sum(r.work for r in results)
+                  / sum(r.wall_s for r in results), "records/s"),
+              "rec_per_s_uncorrected": (
+                  sum(r.work for r in results)
+                  / sum(r.raw_timed_s for r in results), "records/s"),
+              "probe_ms_p50": (1000.0 * median(
+                  [p for r in results for p in r.probes_s]), "ms"),
               "ack_ms_p50": (ack_p50, "ms"),
               "ack_ms_%s" % ack_label: (ack_tail, "ms"),
-              "recovery_s": (
-                  median([s for r in results for s in r.recovery_s]), "s"),
+              "recovery_s": metrics["recovery_s"],
               "disk_bytes_per_rec": metrics["disk_bytes_per_rec"]}
     if name == "live_mixed":
         report["refresh_ms_p50"] = (p50, "ms")

@@ -25,41 +25,38 @@ from repro.serve import QueryEngine, QueryError, ReadView
 from repro.serve.workload import DEFAULT_APP_SHARE, DEFAULT_ZIPF_S
 from repro.store import StoreConfig, StoreEngine
 
-from inputs import UploadStream, upload_stream
+from hostspeed import CLOCK, HostClock
+from inputs import UploadStream, history_entries, upload_stream
 from tracing import SpanTotals
 
-#: Store thresholds for the write workloads, as shares of the stream,
-#: so every seed has the same cadence whatever its record count: four
+#: Store thresholds for the write workloads, as shares of the stream
+#: (every seed has the same record count, inputs.RECORDS): four
 #: flushes, and the stream ends half a flush later with a checkpoint
 #: and a WAL tail for recovery.  Flushes and ~75 checkpoints land
 #: inside single batches, about 1.5% of them, so the ACK p99 falls
 #: among those stalls.
 FLUSHES_PER_STREAM = 4.5
 CHECKPOINTS_PER_STREAM = 80
-#: live_mixed: a dashboard refresh (one snapshot plus a few panels)
-#: every REFRESH_EVERY batches, an operator ``compact()`` every
-#: COMPACT_EVERY batches.  Compaction merges once four segments exist;
-#: calling it often makes that happen right after the fourth flush for
-#: every seed, so each pass ends with the same store layout.
+#: live_mixed: a dashboard refresh (one snapshot plus a page of
+#: REFRESH_PANELS panels) every REFRESH_EVERY batches, an operator
+#: ``compact()`` every COMPACT_EVERY batches.  Every page holds
+#: APP_PANELS app panels and operator panels for the rest, the 70% app
+#: share of ``DashboardWorkload`` on each page: an operator panel costs
+#: about ten app panels, so pages drawn panel by panel would swing with
+#: how many operator panels each happened to get.  Compaction merges
+#: once four segments exist; calling it often makes that happen right
+#: after the third flush (the history is the first segment) for every
+#: seed, so each pass ends with the same store layout.
 REFRESH_EVERY = 40
-REFRESH_PANELS = 3
+REFRESH_PANELS = 10
+APP_PANELS = round(REFRESH_PANELS * DEFAULT_APP_SHARE)
 COMPACT_EVERY = 200
 #: ``crash()`` + ``recover()`` cycles timed at the end of every pass.
-RECOVERIES = 5
+RECOVERIES = 6
 #: Program set-ups (open the store, recover it, build the pipeline and
 #: query engine) timed at the start of every pass; the last one stays
 #: open for the pass.
-SETUPS = 10
-
-#: The clock every timing reads: this process's CPU time.  It holds the
-#: program's own work, the system calls of its fsyncs included, but not
-#: the wait for the disk to complete them, nor time the hypervisor
-#: steals.  On a shared VM disk the fsync wait swings 3x from minute to
-#: minute (mean 0.11 to 0.34 ms per fsync), which moved the wall-clock
-#: records/s by 0.32 (quartile distance over median) over five seeds.
-#: A change to the fsync policy still shows in wal.fsyncs; the report
-#: line has the wall-clock rate too.
-CLOCK = time.process_time
+SETUPS = 5
 
 Panel = Tuple[str, str]
 
@@ -77,8 +74,11 @@ def canonical(value: object) -> str:
 
 @dataclass
 class PassResult:
-    """What one pass measured and what its checks found."""
+    """What one pass measured and what its checks found.  Timings are
+    corrected for the host's CPU speed (see hostspeed.py)."""
     timed_s: float = 0.0        # measured work only, checks excluded
+    raw_timed_s: float = 0.0    # the same, uncorrected
+    probes_s: List[float] = field(default_factory=list)
     wall_s: float = 0.0         # wall time of the upload stream loop
     work: int = 0               # records acked
     setup_s: List[float] = field(default_factory=list)
@@ -91,6 +91,21 @@ class PassResult:
     mismatches: List[str] = field(default_factory=list)
     #: Registry counts (and input sizes) for the per-layer report.
     counts: Dict[str, float] = field(default_factory=dict)
+
+
+def write_history(store_dir: str, entries) -> None:
+    """A store holding ``entries`` in one segment, with no WAL,
+    checkpoint or dedup state: what a collector that compacted its
+    earlier uploads leaves on disk."""
+    shutil.rmtree(store_dir, ignore_errors=True)
+    engine = StoreEngine(store_dir, config=StoreConfig(
+        flush_threshold_records=len(entries) + 1,
+        checkpoint_interval_records=len(entries) + 1))
+    try:
+        engine.append_entries(entries)
+        engine.flush()
+    finally:
+        engine.close()
 
 
 def registry_counts(obs: Observability) -> Dict[str, float]:
@@ -112,16 +127,18 @@ def registry_counts(obs: Observability) -> Dict[str, float]:
     return {key: float(obs.value(name)) for key, name in names.items()}
 
 
-def timed_recoveries(engine: StoreEngine, result: PassResult) -> None:
-    """Crash the engine and recover it from disk, RECOVERIES times.
+def timed_recoveries(engine: StoreEngine, clock: HostClock,
+                     cycles: int) -> None:
+    """Crash the engine and recover it from disk, ``cycles`` times.
     Each cycle starts with the garbage of the last one collected, so
     no cycle pays for another's."""
-    for _ in range(RECOVERIES):
+    for _ in range(cycles):
         gc.collect()
+        clock.probe()
         started = CLOCK()
         engine.crash()
         engine.recover()
-        result.recovery_s.append(CLOCK() - started)
+        clock.record("recovery", CLOCK() - started)
 
 
 # -- panel streams ------------------------------------------------------
@@ -157,19 +174,18 @@ def _zipf_cdf(n: int) -> List[float]:
     return cdf
 
 
-def panel_stream(apps: List[str], operators: List[str], count: int,
-                 rng: random.Random) -> List[Panel]:
-    """``count`` Zipf-popular ``(kind, subject)`` panels, the same
-    shape as ``DashboardWorkload``: 70% app panels, s=1.2."""
+def panel_pages(apps: List[str], operators: List[str], count: int,
+                rng: random.Random) -> List[List[Panel]]:
+    """``count`` dashboard pages of ``(kind, subject)`` panels: APP_PANELS
+    app panels, then operator panels, each subject drawn by Zipf
+    popularity (s=1.2, as in ``DashboardWorkload``)."""
     app_cdf, operator_cdf = _zipf_cdf(len(apps)), _zipf_cdf(len(operators))
-    panels = []
-    for _ in range(count):
-        if rng.random() < DEFAULT_APP_SHARE:
-            panels.append(("app", apps[bisect_left(app_cdf, rng.random())]))
-        else:
-            panels.append(("network", operators[
-                bisect_left(operator_cdf, rng.random())]))
-    return panels
+    return [[("app", apps[bisect_left(app_cdf, rng.random())])
+             for _ in range(APP_PANELS)]
+            + [("network", operators[bisect_left(operator_cdf,
+                                                 rng.random())])
+               for _ in range(REFRESH_PANELS - APP_PANELS)]
+            for _ in range(count)]
 
 
 def answer(view: ReadView, panel: Panel,
@@ -210,26 +226,41 @@ class IngestWorkload:
 
     def prepare(self, seed: int, data_dir: str) -> dict:
         """The upload stream, the reference rollup the store must
-        match, and for live_mixed the refresh panels, picked from the
-        reference's catalog.  Untimed: none of it is program work."""
+        match, and for live_mixed the store's history and the catalog
+        of panel subjects, ranked by the reference's measurement
+        volume.  Untimed: none of it is program work."""
         stream = upload_stream(seed)
         reference = stream.reference()
-        state = {"stream": stream, "digest": reference.digest(),
-                 "records": len(stream.acked_records),
-                 "devices": stream.devices,
-                 "groups": reference.group_count(),
-                 "data_dir": data_dir, "seed": seed}
+        state = {"stream": stream, "records": len(stream.acked_records),
+                 "stored_records": len(stream.acked_records),
+                 "devices": stream.devices, "data_dir": data_dir,
+                 "seed": seed}
         if self.mixed:
-            apps, operators = subject_catalog(
+            history = history_entries(seed)
+            reference.add_all(record for record, _line in history)
+            state["history_dir"] = os.path.join(data_dir, "history")
+            write_history(state["history_dir"], history)
+            state["stored_records"] += len(history)
+            state["catalog"] = subject_catalog(
                 ReadView.from_rollups(reference))
-            refreshes = len(stream.sends) // REFRESH_EVERY
-            state["panels"] = panel_stream(
-                apps, operators, refreshes * REFRESH_PANELS,
-                random.Random("perfbench:panels:%d" % seed))
+        state["digest"] = reference.digest()
+        state["groups"] = reference.group_count()
         return state
 
+    @staticmethod
+    def pass_pages(state: dict, index: int) -> List[List[Panel]]:
+        """The refresh pages of pass ``index``: a fresh Zipf draw per
+        pass, so a run's refreshes sample many subjects, not one set."""
+        if "catalog" not in state:
+            return []
+        apps, operators = state["catalog"]
+        return panel_pages(
+            apps, operators, len(state["stream"].sends) // REFRESH_EVERY,
+            random.Random("perfbench:panels:%d:%d" % (state["seed"],
+                                                      index)))
+
     def open_program(self, store_dir: str, config: StoreConfig,
-                     result: PassResult
+                     clock: HostClock
                      ) -> Tuple[Observability, StoreEngine, IngestPipeline,
                                 Optional[QueryEngine]]:
         """The collector's set-up on the pass directory, SETUPS times:
@@ -237,49 +268,52 @@ class IngestWorkload:
         pipeline and, for live_mixed, the query engine.  Every set-up
         but the last is closed again, so the later ones reopen the
         directory the first one created."""
-        clock = CLOCK
         engine = None
         for _ in range(SETUPS):
             if engine is not None:
                 engine.close()
             obs = Observability()
-            started = clock()
+            clock.probe_if_due()
+            started = CLOCK()
             engine = StoreEngine(store_dir, config=config, obs=obs)
             pipeline = IngestPipeline(store=engine, obs=obs)
             queries = QueryEngine(engine, obs=obs) if self.mixed else None
-            result.setup_s.append(clock() - started)
+            clock.record("setup", CLOCK() - started)
         return obs, engine, pipeline, queries
 
     def run_pass(self, state: dict, index: int, spans: SpanTotals,
-                 check: bool = True) -> PassResult:
+                 check: bool = True,
+                 recoveries: int = RECOVERIES) -> PassResult:
         """One pass; ``check=False`` skips the digest and panel checks
         (the memory pass of ``rss.py`` runs without them)."""
         stream: UploadStream = state["stream"]
         store_dir = os.path.join(state["data_dir"], "store")
         shutil.rmtree(store_dir, ignore_errors=True)
+        if "history_dir" in state:
+            shutil.copytree(state["history_dir"], store_dir)
         # Start every pass with no writeback of the last one pending,
         # so its fsyncs do not wait on the previous pass's deletes.
         os.sync()
         result = PassResult()
+        clock = HostClock()
+        clock.probe()
         with spans.paused():
             obs, engine, pipeline, queries = self.open_program(
-                store_dir, store_config(state["records"]), result)
-        panels = state.get("panels", [])
+                store_dir, store_config(state["records"]), clock)
+        pages = self.pass_pages(state, index)
         verify_refresh = random.Random(
             "perfbench:verify:%d:%d" % (state["seed"], index)).randrange(
                 max(1, len(stream.sends) // REFRESH_EVERY))
-        clock = CLOCK
         lines_sent = 0
         wall_started = time.perf_counter()
         try:
             for number, send in enumerate(stream.sends, 1):
-                started = clock()
+                clock.probe_if_due()
+                started = CLOCK()
                 outcome = pipeline.handle_batch(
                     send.device_id, send.batch_seq, send.payload,
                     send.now_ms)
-                elapsed = clock() - started
-                result.ack_ms.append(elapsed * 1000.0)
-                result.timed_s += elapsed
+                clock.record("ack", CLOCK() - started)
                 result.attempted += 1
                 lines_sent += send.lines
                 if outcome.status != "ack" or \
@@ -294,22 +328,21 @@ class IngestWorkload:
                     continue
                 if number % REFRESH_EVERY == 0:
                     refresh = number // REFRESH_EVERY - 1
-                    self._refresh(queries, panels[
-                        refresh * REFRESH_PANELS:
-                        (refresh + 1) * REFRESH_PANELS],
-                        check and refresh == verify_refresh, spans,
-                        result)
+                    self._refresh(queries, pages[refresh],
+                                  check and refresh == verify_refresh,
+                                  spans, clock, result)
                 if number % COMPACT_EVERY == 0:
-                    started = clock()
+                    clock.probe_if_due()
+                    started = CLOCK()
                     engine.compact()
-                    result.timed_s += clock() - started
+                    clock.record("compact", CLOCK() - started)
             result.wall_s = time.perf_counter() - wall_started
             result.work = state["records"]
             if check and index == 0:
                 with spans.paused():
                     self._check_digest(engine, state, "after ingest",
                                        result)
-            timed_recoveries(engine, result)
+            timed_recoveries(engine, clock, recoveries)
             with spans.paused():
                 if check:
                     self._check_digest(engine, state, "after recovery",
@@ -321,20 +354,32 @@ class IngestWorkload:
                 # checkpoints (the WAL's share is wal.bytes_per_rec).
                 engine.flush()
                 result.disk_bytes_per_rec = \
-                    engine.disk_bytes() / state["records"]
+                    engine.disk_bytes() / state["stored_records"]
         finally:
             engine.close()
+        clock.probe()
+        corrected, raw = clock.series(), clock.series(corrected=False)
+        result.setup_s = corrected["setup"]
+        result.ack_ms = [s * 1000.0 for s in corrected["ack"]]
+        result.refresh_ms = [s * 1000.0
+                             for s in corrected.get("refresh", [])]
+        result.recovery_s = corrected["recovery"]
+        streamed = ("ack", "refresh", "compact")
+        result.timed_s = sum(sum(corrected.get(name, []))
+                             for name in streamed)
+        result.raw_timed_s = sum(sum(raw.get(name, [])) for name in streamed)
+        result.probes_s = clock.probes
         result.counts["lines_sent"] = float(lines_sent)
         result.counts["groups"] = float(state["groups"])
         return result
 
     def _refresh(self, queries: QueryEngine, panels: List[Panel],
-                 verify: bool, spans: SpanTotals,
+                 verify: bool, spans: SpanTotals, clock: HostClock,
                  result: PassResult) -> None:
         """One dashboard refresh: a snapshot and its panels, timed
         together."""
-        clock = CLOCK
-        started = clock()
+        clock.probe_if_due()
+        started = CLOCK()
         answered = []
         result.attempted += 1 + len(panels)
         try:
@@ -351,9 +396,7 @@ class IngestWorkload:
                     result.failed += 1
                     result.mismatches.append(
                         "%s panel %r failed: %s" % (panel + (exc,)))
-            elapsed = clock() - started
-            result.refresh_ms.append(elapsed * 1000.0)
-            result.timed_s += elapsed
+            clock.record("refresh", CLOCK() - started)
             if verify:
                 with spans.paused():
                     verify_panels(view, answered, result)
